@@ -12,8 +12,8 @@
 //	                         # instrumented playback with the full
 //	                         # metric and span-tree rendition
 //	avbench -exp scale -workers 4
-//	                         # wavefront scaling sweep: serial vs 2 vs
-//	                         # 4 worker lanes on an 8-wide graph
+//	                         # wavefront scaling sweep: serial vs 2- vs
+//	                         # 4-lane pools on an 8-wide graph
 //	avbench -exp stripe -width 4
 //	                         # striped placement + SCAN-EDF rounds vs
 //	                         # single-disk multi-stream reads
@@ -87,9 +87,9 @@ func (o obsStringer) String() string {
 	return s
 }
 
-// scaleSweep picks the worker counts for the scale experiment: always
-// the serial baseline, then doublings up to the requested lane count
-// (0 means GOMAXPROCS, appended as the final arm).
+// scaleSweep picks the pool lane counts for the scale experiment:
+// always the serial baseline, then doublings up to the requested lane
+// count (0 means GOMAXPROCS, appended as the final arm).
 func scaleSweep(workers int) []int {
 	sweep := []int{1}
 	for w := 2; w < workers; w *= 2 {
@@ -190,7 +190,7 @@ func main() {
 	list := flag.Bool("list", false, "list experiments and exit")
 	metrics := flag.Bool("metrics", false, "print the full metric registry after the obs experiment")
 	trace := flag.Bool("trace", false, "print the span tree after the obs experiment")
-	workers := flag.Int("workers", 0, "top worker count for the scale experiment (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "top pool lane count for the scale experiment (0 = GOMAXPROCS)")
 	width := flag.Int("width", 4, "stripe width for the stripe experiment")
 	sessions := flag.Int("sessions", 4, "session count for the tenancy and overload experiments")
 	flag.Parse()

@@ -14,8 +14,8 @@ import (
 	"avdb/internal/storage"
 )
 
-// runStripedWide plays 8 striped streams through VideoReaders under the
-// given worker count and returns everything the determinism comparison
+// runStripedWide plays 8 striped streams through VideoReaders on a pool
+// of the given lane count and returns everything the determinism comparison
 // needs: run stats, per-window arrival times, the scheduler counters,
 // and the full obs snapshot.
 func runStripedWide(t *testing.T, workers int) (*activity.RunStats, [][]avtime.WorldTime, storage.IOStats, []byte) {
@@ -68,7 +68,9 @@ func runStripedWide(t *testing.T, workers int) (*activity.RunStats, [][]avtime.W
 	if err := g.Start(); err != nil {
 		t.Fatal(err)
 	}
-	stats, err := g.Run(activity.RunConfig{Clock: sched.NewVirtualClock(0), Workers: workers, Obs: col})
+	pool := sched.NewPool(workers)
+	defer pool.Stop()
+	stats, err := g.Run(activity.RunConfig{Clock: sched.NewVirtualClock(0), Pool: pool, Obs: col})
 	if err != nil {
 		t.Fatal(err)
 	}

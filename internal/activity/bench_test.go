@@ -2,6 +2,7 @@ package activity
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"avdb/internal/media"
@@ -206,15 +207,17 @@ func buildBurnGraph(b *testing.B, width, frames, passes int) (*Graph, []*benchBu
 	return g, sinks
 }
 
-// benchGraphRun measures one full run of the wide burn graph under the
-// given lane count.  The serial and parallel variants execute identical
-// work on identical graphs; only RunConfig.Workers differs.
-func benchGraphRun(b *testing.B, workers int) {
+// benchGraphRun measures one full run of the wide burn graph on a pool
+// of the given lane count.  The serial and parallel variants execute
+// identical work on identical graphs; only the pool size differs.
+func benchGraphRun(b *testing.B, lanes int) {
 	const (
 		width  = 8
 		frames = 30
 		passes = 12
 	)
+	pool := sched.NewPool(lanes)
+	defer pool.Stop()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -223,7 +226,7 @@ func benchGraphRun(b *testing.B, workers int) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		stats, err := g.Run(RunConfig{Clock: sched.NewVirtualClock(0), Workers: workers})
+		stats, err := g.Run(RunConfig{Clock: sched.NewVirtualClock(0), Pool: pool})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -245,7 +248,7 @@ func benchGraphRun(b *testing.B, workers int) {
 // turns the two into BENCH_pr3.json.
 func BenchmarkGraphRun(b *testing.B) {
 	b.Run("wide-serial", func(b *testing.B) { benchGraphRun(b, 1) })
-	b.Run("wide-parallel", func(b *testing.B) { benchGraphRun(b, 0) })
+	b.Run("wide-parallel", func(b *testing.B) { benchGraphRun(b, runtime.GOMAXPROCS(0)) })
 }
 
 type benchSource struct {

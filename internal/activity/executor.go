@@ -1,8 +1,8 @@
 package activity
 
 // executor.go holds the parallel wavefront machinery behind Graph.Run:
-// partitioning the topological order into dependency levels and the
-// bounded worker pool that ticks one level's activities concurrently.
+// partitioning the topological order into dependency levels whose
+// activities tick concurrently on the run's sched.Pool.
 //
 // The paper frames an AV database as a locus of *concurrent* activities
 // (§3.1, §4.4); the wavefront executor realizes that without giving up
@@ -12,19 +12,16 @@ package activity
 //	A (serial)   deliver chunks across connections, account faults,
 //	             emit chunk spans, stage every node's tick inputs;
 //	B (parallel) Tick the staged nodes and draw their latency samples
-//	             on the worker pool;
+//	             on the pool, one item per node;
 //	C (serial)   surface the first error in topological order, stamp
 //	             latency onto outputs, publish produced chunks.
 //
 // Everything order-sensitive — span IDs, metric updates, fault-plan RNG
 // draws on links, stats accumulation — happens in the serial phases in
-// exactly the order the serial executor used, so a run with N workers is
-// byte-identical to a run with one.
+// exactly the order the serial executor used, so a run on a pool of any
+// size is byte-identical to a run with no pool.
 
 import (
-	"runtime"
-	"sync"
-
 	"avdb/internal/avtime"
 )
 
@@ -35,11 +32,7 @@ import (
 // topo()'s FIFO Kahn sort dequeues whole frontiers before any of their
 // successors, concatenating the levels reproduces `order` exactly, which
 // is what keeps parallel runs byte-identical to serial ones.
-func levelize(order []Activity, conns []*Connection) [][]Activity {
-	incoming := make(map[string][]*Connection, len(order))
-	for _, c := range conns {
-		incoming[c.to.Name()] = append(incoming[c.to.Name()], c)
-	}
+func levelize(order []Activity, incoming map[string][]*Connection) [][]Activity {
 	depth := make(map[string]int, len(order))
 	deepest := 0
 	for _, node := range order {
@@ -73,23 +66,6 @@ func maxWidth(levels [][]Activity) int {
 	return w
 }
 
-// resolveWorkers applies the RunConfig.Workers defaulting rule: zero or
-// negative means GOMAXPROCS, and there is never a reason to keep more
-// lanes than the widest level.
-func resolveWorkers(requested, width int) int {
-	w := requested
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > width {
-		w = width
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // tickEntry is one activity's unit of work for the current level: built
 // in phase A, executed (possibly concurrently) in phase B, merged in
 // phase C.  Entries live in a slice reused across ticks so the steady
@@ -102,46 +78,12 @@ type tickEntry struct {
 	err  error
 }
 
-// exec runs the parallel-safe part of a node's tick: the Tick itself and
-// the node's latency draw (each activity owns its latency model and RNG,
-// so draws from different nodes commute).
-func (e *tickEntry) exec() {
-	if err := e.node.Tick(e.tc); err != nil {
-		e.err = err
-		return
+// execEntry is phase B's pool item: the parallel-safe part of entry i's
+// tick — the Tick itself and the node's latency draw (each activity owns
+// its latency model and RNG, so draws from different nodes commute).
+func (r *GraphRun) execEntry(i int) {
+	e := &r.entries[i]
+	if e.err = e.node.Tick(e.tc); e.err == nil {
+		e.lat = sampleLatency(e.node)
 	}
-	e.lat = sampleLatency(e.node)
 }
-
-// tickPool is a persistent bounded worker pool.  It is built once per
-// run, so the per-level cost is a channel send per entry and one
-// WaitGroup cycle — no goroutine churn on the hot path.
-type tickPool struct {
-	jobs chan *tickEntry
-	wg   sync.WaitGroup
-}
-
-func newTickPool(workers int) *tickPool {
-	p := &tickPool{jobs: make(chan *tickEntry, workers)}
-	for i := 0; i < workers; i++ {
-		go func() {
-			for e := range p.jobs {
-				e.exec()
-				p.wg.Done()
-			}
-		}()
-	}
-	return p
-}
-
-// run executes the entries on the pool and blocks until all complete.
-func (p *tickPool) run(entries []tickEntry) {
-	p.wg.Add(len(entries))
-	for i := range entries {
-		p.jobs <- &entries[i]
-	}
-	p.wg.Wait()
-}
-
-// close releases the pool's workers.
-func (p *tickPool) close() { close(p.jobs) }

@@ -1,6 +1,7 @@
 package activity
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -308,12 +309,14 @@ type RunConfig struct {
 	Rate     avtime.Rate         // tick rate; defaults to 30Hz
 	MaxTicks int                 // safety bound; defaults to 10 million
 
-	// Workers bounds the wavefront executor's pool: activities in the
-	// same dependency level tick concurrently on up to this many lanes.
-	// Zero (the default) means GOMAXPROCS; one forces serial execution.
-	// Either way the run's RunStats and observability output are
-	// byte-identical — see executor.go.
-	Workers int
+	// Pool runs each dependency level's activities concurrently, one
+	// pool item per activity; nil ticks them serially.  Either way the
+	// run's RunStats and observability output are byte-identical — see
+	// executor.go.  Labels is the pprof label context the pool's lanes
+	// run this graph's activities under (the engine passes the
+	// session's admission labels); nil leaves them unlabeled.
+	Pool   *sched.Pool
+	Labels context.Context
 
 	// Obs, when non-nil, receives a playback span covering the run with
 	// nested activity, connection and chunk spans, plus the stream.* and

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"avdb/internal/avtime"
@@ -102,7 +103,11 @@ func TestLevelsPartitionTopoOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	levels := levelize(order, g.Connections())
+	incoming := map[string][]*Connection{}
+	for _, c := range g.Connections() {
+		incoming[c.to.Name()] = append(incoming[c.to.Name()], c)
+	}
+	levels := levelize(order, incoming)
 	// The levels must be contiguous slices of the topological order:
 	// concatenating them reproduces it exactly, which is what keeps the
 	// phased executor's serial phases in the serial executor's order.
@@ -128,20 +133,8 @@ func TestLevelsPartitionTopoOrder(t *testing.T) {
 	}
 }
 
-func TestResolveWorkers(t *testing.T) {
-	if got := resolveWorkers(8, 3); got != 3 {
-		t.Errorf("workers capped to width: got %d, want 3", got)
-	}
-	if got := resolveWorkers(2, 10); got != 2 {
-		t.Errorf("explicit workers: got %d, want 2", got)
-	}
-	if got := resolveWorkers(0, 10); got < 1 {
-		t.Errorf("default workers = %d, want >= 1", got)
-	}
-}
-
-// runWide executes a fresh wide graph under the given worker count and
-// returns everything an equivalence check needs: run stats, the
+// runWide executes a fresh wide graph on a pool of the given lane count
+// and returns everything an equivalence check needs: run stats, the
 // observability snapshot bytes, and the sink's arrival times.
 func runWide(t *testing.T, workers int) (*RunStats, []byte, []avtime.WorldTime) {
 	t.Helper()
@@ -150,7 +143,9 @@ func runWide(t *testing.T, workers int) (*RunStats, []byte, []avtime.WorldTime) 
 	if err := g.Start(); err != nil {
 		t.Fatal(err)
 	}
-	stats, err := g.Run(RunConfig{Clock: sched.NewVirtualClock(0), Workers: workers, Obs: col})
+	pool := sched.NewPool(workers)
+	defer pool.Stop()
+	stats, err := g.Run(RunConfig{Clock: sched.NewVirtualClock(0), Pool: pool, Obs: col})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +168,9 @@ func runWideStepped(t *testing.T, workers int) (*RunStats, []byte, []avtime.Worl
 		t.Fatal(err)
 	}
 	clock := sched.NewVirtualClock(0)
-	run, err := g.Begin(RunConfig{Clock: clock, Workers: workers, Obs: col})
+	pool := sched.NewPool(workers)
+	defer pool.Stop()
+	run, err := g.Begin(RunConfig{Clock: clock, Pool: pool, Obs: col})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +446,9 @@ func TestGraphRunParallelWideRace(t *testing.T) {
 	if err := g.Start(); err != nil {
 		t.Fatal(err)
 	}
-	stats, err := g.Run(RunConfig{Clock: sched.NewVirtualClock(0), Workers: 8})
+	pool := sched.NewPool(8)
+	defer pool.Stop()
+	stats, err := g.Run(RunConfig{Clock: sched.NewVirtualClock(0), Pool: pool})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,5 +457,27 @@ func TestGraphRunParallelWideRace(t *testing.T) {
 	}
 	if stats.Chunks != 8*60+60 {
 		t.Errorf("stats.Chunks = %d, want %d", stats.Chunks, 8*60+60)
+	}
+}
+
+func TestBeginStartsNoGoroutines(t *testing.T) {
+	// Lanes belong to the shared pool, not to the run: beginning a wide
+	// graph on a pool must not spawn any.
+	g, _ := buildWideGraph(t, 8, 5)
+	if err := g.Start(); err != nil {
+		t.Fatal(err)
+	}
+	pool := sched.NewPool(4)
+	defer pool.Stop()
+	before := runtime.NumGoroutine()
+	run, err := g.Begin(RunConfig{Clock: sched.NewVirtualClock(0), Pool: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Errorf("Begin changed the goroutine count from %d to %d", before, after)
+	}
+	if _, err := run.Finish(); err != nil {
+		t.Fatal(err)
 	}
 }

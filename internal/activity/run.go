@@ -39,9 +39,10 @@ type GraphRun struct {
 	conns    []*Connection
 	incoming map[string][]*Connection
 	levels   [][]Activity
-	pool     *tickPool
-	gate     *sched.AdvanceGate
+	pool     *sched.Pool
+	batch    sched.Batch // phase B over entries, reused level to level
 	entries  []tickEntry
+	latest   avtime.WorldTime // latest chunk arrival so far; Finish drains to it
 
 	startAt avtime.WorldTime
 	lastNow avtime.WorldTime // scheduled time of the last executed tick
@@ -85,12 +86,7 @@ func (g *Graph) Begin(cfg RunConfig) (*GraphRun, error) {
 	for _, c := range conns {
 		incoming[c.to.Name()] = append(incoming[c.to.Name()], c)
 	}
-	levels := levelize(order, conns)
-	workers := resolveWorkers(cfg.Workers, maxWidth(levels))
-	var pool *tickPool
-	if workers > 1 {
-		pool = newTickPool(workers)
-	}
+	levels := levelize(order, incoming)
 	r := &GraphRun{
 		g:         g,
 		clock:     cfg.Clock,
@@ -100,8 +96,7 @@ func (g *Graph) Begin(cfg RunConfig) (*GraphRun, error) {
 		conns:     conns,
 		incoming:  incoming,
 		levels:    levels,
-		pool:      pool,
-		gate:      sched.NewAdvanceGate(cfg.Clock),
+		pool:      cfg.Pool,
 		entries:   make([]tickEntry, 0, len(order)),
 		startAt:   cfg.Clock.Now(),
 		sink:      cfg.Obs,
@@ -109,6 +104,8 @@ func (g *Graph) Begin(cfg RunConfig) (*GraphRun, error) {
 		stats:     &RunStats{},
 		round:     -1,
 	}
+	r.batch.Do = r.execEntry
+	r.batch.Labels = cfg.Labels
 	// Observability: one playback span for the run, one activity span per
 	// node and one connection span per edge, all closed by Finish on any
 	// path.  Every chunk delivery nests a chunk span under its connection.
@@ -191,13 +188,13 @@ func (r *GraphRun) SetRound(round int64) { r.round = round }
 // Tick; a multi-run scheduler instead commits once per step, to the
 // minimum CommitHorizon across its active runs.
 func (r *GraphRun) Commit() {
-	r.gate.CommitTick(r.CommitHorizon())
+	r.clock.AdvanceTo(r.CommitHorizon())
 	r.stats.Elapsed = r.clock.Now() - r.startAt
 }
 
 // Tick executes one scheduling interval: every dependency level in
 // order, with the phase A/B/C discipline of executor.go (serial
-// delivery, pooled execution, serial publication), so any Workers count
+// delivery, pooled execution, serial publication), so any pool size
 // reproduces the serial byte stream.  It returns done=true when the run
 // has nothing further to execute — no node running, every source
 // exhausted, or the tick bound reached.  Tick never advances the clock;
@@ -285,16 +282,10 @@ func (r *GraphRun) Tick() (bool, error) {
 			r.entries = append(r.entries, tickEntry{node: node, tc: tc})
 		}
 
-		// Phase B — tick the level: on the pool when more than one
-		// node is staged, inline otherwise.  A single lane executes
-		// in entry order, which is exactly the serial order.
-		if r.pool != nil && len(r.entries) > 1 {
-			r.pool.run(r.entries)
-		} else {
-			for i := range r.entries {
-				r.entries[i].exec()
-			}
-		}
+		// Phase B — tick the level on the pool.  A nil or one-lane
+		// pool executes in entry order, which is exactly the serial
+		// order.
+		r.pool.Run(&r.batch, len(r.entries))
 
 		// Phase C — serial, in topological order: surface the first
 		// error, stamp activity latency onto outputs, publish chunks
@@ -327,9 +318,12 @@ func (r *GraphRun) Tick() (bool, error) {
 		}
 	}
 
+	// The entries' tick contexts hold this tick's chunks; drop them so
+	// the frames die with the tick instead of living until the next.
+	clear(r.entries[:cap(r.entries)])
 	stats.Ticks++
-	if last > 0 {
-		r.gate.Propose(last)
+	if last > r.latest {
+		r.latest = last
 	}
 	r.lastNow = now
 	r.tick++
@@ -339,10 +333,10 @@ func (r *GraphRun) Tick() (bool, error) {
 	return r.done, nil
 }
 
-// Finish completes the run: on success it drains the advance gate so the
-// final clock reading covers the latest in-flight arrival, then on every
-// path it closes the observability spans, releases the worker pool and
-// stops the graph's nodes (teardown failures surface as StopErr).
+// Finish completes the run: on success it advances the clock to the
+// latest in-flight arrival, then on every path it closes the
+// observability spans and stops the graph's nodes (teardown failures
+// surface as StopErr).
 // Finish is idempotent; later calls return the same result.
 func (r *GraphRun) Finish() (*RunStats, error) {
 	if r.finished {
@@ -354,14 +348,11 @@ func (r *GraphRun) Finish() (*RunStats, error) {
 		// this run.  The final clock reading must cover the latest
 		// arrival, so tail latency shows up in Elapsed instead of being
 		// cut off.
-		r.stats.LastArrival = r.gate.Latest()
-		r.gate.Drain()
+		r.stats.LastArrival = r.latest
+		r.clock.AdvanceTo(r.latest)
 		r.stats.Elapsed = r.clock.Now() - r.startAt
 	}
 	r.closeObs()
-	if r.pool != nil {
-		r.pool.close()
-	}
 	// A finished run leaves every activity quiescent so the graph can be
 	// cued and started again; teardown failures surface through stats.
 	if err := r.g.Stop(); err != nil {

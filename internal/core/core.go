@@ -70,20 +70,20 @@ type Config struct {
 	// Resources is the admission-control budget for database-side
 	// activities and streams.
 	Resources sched.Resources
-	// Workers bounds the wavefront executor for sessions on this
-	// database: activities in the same dependency level of a graph tick
-	// concurrently on up to this many lanes.  Zero means GOMAXPROCS;
-	// one forces serial execution.  Sessions may override per stream
-	// with Session.SetWorkers.
+	// Deprecated: Workers is ignored; EngineWorkers bounds the one tick
+	// pool, which runs the session shards and their wide graph levels.
 	Workers int
-	// EngineWorkers bounds the engine's session-stepping pool: runs due
-	// on the same step are partitioned into shards and ticked on up to
-	// this many goroutines, with results merged in admission order at
-	// the commit barrier so any value produces byte-identical output.
-	// Zero or one keeps the engine serial.  See also Engine.SetWorkers.
+	// EngineWorkers bounds the database's one tick pool: runs due on
+	// the same step are partitioned into shards, and the shards and each
+	// session's wide dependency levels tick on up to this many
+	// goroutines, with results merged in admission order at the commit
+	// barrier so any value produces byte-identical output.  Zero or one
+	// keeps the engine serial.  See also Engine.SetWorkers.
 	EngineWorkers int
-	// Cache configures per-stream chunk caching and lookahead
-	// prefetching in the media store; the zero value disables it.
+	// Cache configures the media store's shared (value, chunk) buffer
+	// pool and its lookahead prefetching: every stream reading a value
+	// shares the pool, so co-viewers hit each other's chunks.  The zero
+	// value disables it.
 	Cache storage.CachePolicy
 	// Striping configures striped placement and round-based SCAN-EDF
 	// disk scheduling in the media store: Width > 1 stripes automatic
@@ -124,7 +124,6 @@ type Database struct {
 	links     *linkStore
 	runEngine *Engine // the one run loop advancing the shared clock
 
-	workers  int            // executor lanes for sessions; 0 = GOMAXPROCS
 	priority sched.Priority // default service class for new sessions
 
 	mu          sync.Mutex
@@ -132,9 +131,6 @@ type Database struct {
 	segments    map[string]storage.SegID // "oid/attr[/track]" -> segment
 	obsC        *obs.Collector
 }
-
-// Workers reports the database-wide executor lane bound.
-func (db *Database) Workers() int { return db.workers }
 
 // Open creates a database.  Devices and network links are registered
 // afterwards through Devices() and Network().  It fails on an invalid
@@ -162,7 +158,6 @@ func Open(cfg Config) (*Database, error) {
 		clock:     sched.NewVirtualClock(0),
 		links:     newLinkStore(),
 		segments:  make(map[string]storage.SegID),
-		workers:   cfg.Workers,
 		priority:  cfg.Priority,
 	}
 	db.mediaSt.SetCachePolicy(cfg.Cache)

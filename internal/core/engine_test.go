@@ -117,16 +117,16 @@ func TestEngineSharedClockMonotonic(t *testing.T) {
 // TestEngineCrossSessionDeterminism pins N concurrent sessions to one
 // byte stream: for every Workers setting the obs snapshot (spans,
 // metrics, engine counters) and each session's RunStats must be
-// identical.
+// identical.  Workers here is the engine's pool size.
 func TestEngineCrossSessionDeterminism(t *testing.T) {
 	const sessions = 3
 	run := func(workers int) (string, []*activity.RunStats) {
 		db := testDB(t)
 		col := db.EnableObservability()
+		db.Engine().SetWorkers(workers)
 		var pss []*playbackSession
 		for i := 0; i < sessions; i++ {
 			ps := buildPlaybackSession(t, db, "client-"+string(rune('a'+i)), 20+5*i)
-			ps.sess.SetWorkers(workers)
 			pss = append(pss, ps)
 		}
 		db.Engine().Pause()

@@ -131,9 +131,7 @@ func TestEngineDiskCrashIsolation(t *testing.T) {
 		hard := buildPlaybackOn(t, db, "victim-hard", frames, "disk2", "lan0")
 		d := buildPlaybackOn(t, db, "bystander-d", frames, "disk3", "lan0")
 		all := []*playbackSession{a, b, soft, hard, d}
-		for _, ps := range all {
-			ps.sess.SetWorkers(workers)
-		}
+		db.Engine().SetWorkers(workers)
 
 		db.Engine().Pause()
 		var pbs []*Playback
@@ -250,9 +248,7 @@ func TestEngineChaosIsolationDeterminism(t *testing.T) {
 		b1 := buildPlaybackOn(t, db, "bystander-1", frames, "disk1", "lan0")
 		b2 := buildPlaybackOn(t, db, "bystander-2", frames, "disk2", "lan0")
 		all := []*playbackSession{victim, b1, b2}
-		for _, ps := range all {
-			ps.sess.SetWorkers(4)
-		}
+		db.Engine().SetWorkers(4)
 
 		db.Engine().Pause()
 		var pbs []*Playback

@@ -36,7 +36,6 @@ type Session struct {
 	devices  []string
 	playback *Playback
 	closed   bool
-	workers  int                    // 0 inherits the database's Workers setting
 	striping *storage.StripePolicy  // nil inherits the store's policy
 	tiered   *bool                  // nil follows the store's tier policy
 	span     obs.SpanID             // session span when observability is on
@@ -88,15 +87,6 @@ func (s *Session) Closed() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.closed
-}
-
-// SetWorkers overrides the database's executor lane bound for this
-// session's streams.  Zero restores the database default; one forces
-// serial execution.  Configure before Start.
-func (s *Session) SetWorkers(n int) {
-	s.mu.Lock()
-	s.workers = n
-	s.mu.Unlock()
 }
 
 // SetStriping overrides the store's stripe policy for streams this
@@ -434,12 +424,9 @@ func (s *Session) StartAt(rate avtime.Rate, maxTicks int) (*Playback, error) {
 	if err := s.graph.Start(); err != nil {
 		return nil, err
 	}
-	workers := s.workers
-	if workers == 0 {
-		workers = s.db.workers
-	}
 	cfg := activity.RunConfig{
-		Clock: s.db.clock, Rate: rate, MaxTicks: maxTicks, Workers: workers,
+		Clock: s.db.clock, Rate: rate, MaxTicks: maxTicks,
+		Pool: s.db.runEngine.pool, Labels: runLabels(s.id, s.graph.Name()),
 		Obs: s.db.sink(), ObsParent: s.span,
 	}
 	// The playback no longer owns a private run loop: the graph is split

@@ -130,7 +130,7 @@ func (s *scaleSink) Tick(tc *activity.TickContext) error {
 
 // ScaleRun is one arm: the wide graph under one worker-count setting.
 type ScaleRun struct {
-	Workers   int           // RunConfig.Workers (0 was resolved before the run)
+	Workers   int           // pool lanes; 0 means GOMAXPROCS
 	Wall      time.Duration // host wall-clock for the whole run
 	Ticks     int
 	Chunks    int64
@@ -147,9 +147,9 @@ type ScaleResult struct {
 	Runs    []ScaleRun
 }
 
-// scaleArm builds the wide graph and runs it once under the given
-// worker count, returning the run plus the evidence used for the
-// determinism comparison.
+// scaleArm builds the wide graph and runs it once on a pool of the
+// given lane count (0 = GOMAXPROCS), returning the run plus the
+// evidence used for the determinism comparison.
 func scaleArm(width, frames, workers int) (ScaleRun, *activity.RunStats, string, []uint32, error) {
 	g := activity.NewGraph("scale")
 	sinks := make([]*scaleSink, width)
@@ -172,12 +172,18 @@ func scaleArm(width, frames, workers int) (ScaleRun, *activity.RunStats, string,
 	if err := g.Start(); err != nil {
 		return ScaleRun{}, nil, "", nil, err
 	}
+	lanes := workers
+	if lanes <= 0 {
+		lanes = runtime.GOMAXPROCS(0)
+	}
+	pool := sched.NewPool(lanes)
+	defer pool.Stop()
 	col := obs.NewCollector()
 	begin := time.Now()
 	stats, err := g.Run(activity.RunConfig{
-		Clock:   sched.NewVirtualClock(0),
-		Workers: workers,
-		Obs:     col,
+		Clock: sched.NewVirtualClock(0),
+		Pool:  pool,
+		Obs:   col,
 	})
 	wall := time.Since(begin)
 	if err != nil {
