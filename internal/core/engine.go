@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"runtime/pprof"
+	"slices"
 	"sync"
 
 	"avdb/internal/activity"
@@ -16,13 +18,14 @@ import (
 // shared virtual clock advances.  "Special devices and scheduling are
 // under database control and shared between clients" (§3.3) — so a
 // started playback is not a private goroutine racing the clock forward;
-// it is a schedulable entity admitted into the engine's run set.
+// it is a schedulable entity admitted into the engine's run book.
 //
 // Each engine step:
 //
 //  1. picks the earliest next-due time across admitted runs (sessions
 //     may tick at different rates; no LCM is needed — the engine simply
-//     steps to whichever run is due next),
+//     steps to whichever run is due next) from the run book, a min-heap
+//     over the admitted entries keyed (due, admission order),
 //  2. ticks every run due at that time, in admission order, tagging all
 //     of them with the same storage service round so their chunk
 //     requests merge into shared per-disk SCAN-EDF batches,
@@ -36,34 +39,35 @@ import (
 // points — byte-identical RunStats for any EngineWorkers.
 //
 // The loop runs on one goroutine, started lazily at first admission and
-// exited when the run set drains; the step counter persists across
+// exited when the run book drains; the step counter persists across
 // restarts so storage round numbers never rewind below the IOSched
 // flush watermark.
 //
 // The tick phase runs on the engine's one sched.Pool, bounded by
-// EngineWorkers (DESIGN.md §14): admitted runs are partitioned into
+// EngineWorkers (DESIGN.md §14): each admitted run carries one of
 // engineShards session shards (keyed by stripe group when striped,
-// round-robin otherwise), each step submits the due shards as one pool
-// batch (one item per shard; with one lane, one item in admission
-// order), and every ticking session submits its wide dependency levels
-// to the same pool, so sessions and graph width share one lane bound.
-// The commit barrier merges results back in admission order.  Runs tick
-// on disjoint per-run state; every shared structure they touch
-// mid-tick (SCAN-EDF rounds, device fault hooks, link counters, the
-// metrics registry) is either lock-protected and order-independent or
-// read-only, and with observability on each run's telemetry is buffered
-// in a private obs.Stage replayed in admission order at the barrier —
-// so any worker count, including one changed by SetWorkers mid-run,
-// stays byte-identical to serial, the cross-session restatement of the
+// round-robin otherwise), each step groups its due runs by shard and
+// submits the due shards as one pool batch (one item per shard; with
+// one lane, one item in admission order), and every ticking session
+// submits its wide dependency levels to the same pool, so sessions
+// and graph width share one lane bound.  The commit barrier merges
+// results back in admission order.  Runs tick on disjoint per-run
+// state; every shared structure they touch mid-tick (SCAN-EDF rounds,
+// device fault hooks, link counters, the metrics registry) is either
+// lock-protected and order-independent or read-only, and with
+// observability on each run's telemetry is buffered in a private
+// obs.Stage replayed in admission order at the barrier — so any
+// worker count, including one changed by SetWorkers mid-run, stays
+// byte-identical to serial, the cross-session restatement of the
 // wavefront executor's guarantee.  Sessions admitted from inside event
 // handlers during a parallel tick keep working but fall outside the
 // byte-identity guarantee (admission order then depends on worker
-// interleaving), as do probabilistic fault hooks shared by sessions in
-// different shards (their RNG draw order follows service order).
+// interleaving), as do probabilistic fault hooks shared by sessions
+// in different shards (their RNG draw order follows service order).
 //
 // The step path follows the same allocation-free discipline as the
-// SCAN-EDF scheduler (DESIGN.md §12, §13): the due batch, the retired
-// list and the run-set walk all live in buffers reused step to step,
+// SCAN-EDF scheduler (DESIGN.md §12, §13): the due batch, the per-shard
+// groups and the retired list all live in buffers reused step to step,
 // and per-run pprof label contexts are built once at admission — in
 // steady state a step performs zero heap allocations of its own
 // (pinned by TestEngineAllocsPerStep).
@@ -80,10 +84,9 @@ type Engine struct {
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	set      *sched.ShardedRunSet
-	entries  map[sched.RunID]*engineEntry
-	admitted []sched.RunID // active ids, admission order (ids are monotonic)
-	running  bool          // loop goroutine alive
+	book     runBook
+	admitted []*engineEntry // active entries, admission order (ids are monotonic)
+	running  bool           // loop goroutine alive
 	paused   bool
 	stepping bool // a step is executing outside the lock
 	steps    int64
@@ -91,14 +94,13 @@ type Engine struct {
 	rrShard  int   // round-robin cursor for unkeyed admissions
 
 	// pool ticks the due shards and, through RunConfig.Pool, every
-	// session's wide levels; its helpers stop when the run set drains.
+	// session's wide levels; its helpers stop when the run book drains.
 	pool *sched.Pool
 
 	// Step-path scratch, reused step to step.  Only the loop goroutine
 	// (or a test driving stepOnce directly) touches these outside the
 	// engine lock.
-	stepBatch   []*engineEntry   // entries due this step, admission order
-	shardBatch  [][]*engineEntry // the same entries sliced by shard
+	shardBatch  [][]*engineEntry // the step's due entries grouped by shard
 	dueShards   []int            // shards with due entries: the pool batch's items
 	shardItems  sched.Batch      // pool batch over dueShards, Do bound once
 	stepRound   int64            // storage round the step's ticks are tagged with
@@ -147,7 +149,8 @@ const engineShards = 16
 // introspection must never call into the GraphRun itself, which the
 // loop may be mid-Tick on outside the lock.
 type engineEntry struct {
-	id       sched.RunID
+	id       int64 // admission order, assigned by the run book
+	index    int   // position in the run book's heap
 	sess     *Session
 	session  string
 	graph    string
@@ -157,7 +160,7 @@ type engineEntry struct {
 
 	rate       avtime.Rate      // immutable after Begin; cached for Sessions()
 	ticks      int              // snapshot, written and read under the engine lock
-	due        avtime.WorldTime // snapshot of the next due time, under the engine lock
+	due        avtime.WorldTime // next due time: the run book's key, under the engine lock
 	lastStalls int64            // stall episodes at the previous sample (loop only)
 
 	shard int        // home shard, fixed at admission
@@ -173,8 +176,6 @@ type engineEntry struct {
 func newEngine(db *Database) *Engine {
 	e := &Engine{
 		db:         db,
-		set:        sched.NewShardedRunSet(engineShards),
-		entries:    make(map[sched.RunID]*engineEntry),
 		shardBatch: make([][]*engineEntry, engineShards),
 		pool:       sched.NewPool(1),
 	}
@@ -277,7 +278,7 @@ func (e *Engine) admitCheck() error {
 	return &OverloadError{RetryAfter: retry}
 }
 
-// admit enters a begun run into the run set and wakes (or starts) the
+// admit enters a begun run into the run book and wakes (or starts) the
 // loop.  Called by Session.StartAt with the graph already started and
 // the playback handle registered on the session.  The pprof label
 // context is built here, once per admission, so the step path never
@@ -300,10 +301,7 @@ func (e *Engine) admit(s *Session, run engineRun, p *Playback, shardKey int) {
 		shard = e.rrShard
 		e.rrShard = (e.rrShard + 1) % engineShards
 	}
-	due := run.NextDue()
-	id := e.set.Admit(due, shard)
 	en := &engineEntry{
-		id:       id,
 		sess:     s,
 		session:  s.ID(),
 		graph:    run.Graph().Name(),
@@ -311,20 +309,19 @@ func (e *Engine) admit(s *Session, run engineRun, p *Playback, shardKey int) {
 		playback: p,
 		labelCtx: ctx,
 		rate:     run.Rate(),
-		due:      due,
 		shard:    shard,
 	}
+	e.book.admit(en, run.NextDue())
 	if sink != nil {
 		en.stage = &obs.Stage{}
 		run.SwapObs(en.stage)
 	}
-	e.entries[id] = en
-	e.admitted = append(e.admitted, id)
+	e.admitted = append(e.admitted, en)
 	if sink != nil {
 		// Published inside the critical section that changed the count:
 		// an interleaved admit/retire pair can no longer leave the gauge
 		// at a stale value (the last publish is the last count change).
-		sink.SetGauge("engine.sessions.active", int64(len(e.entries)))
+		sink.SetGauge("engine.sessions.active", int64(len(e.admitted)))
 	}
 	if !e.running {
 		e.running = true
@@ -334,7 +331,7 @@ func (e *Engine) admit(s *Session, run engineRun, p *Playback, shardKey int) {
 	e.mu.Unlock()
 }
 
-// Pause holds the engine between steps: admitted runs stay in the set
+// Pause holds the engine between steps: admitted runs stay in the book
 // but no tick executes until Resume.  Pause waits for an in-flight step
 // to finish, so after it returns no graph is mid-tick.  Tests use the
 // pair to admit several sessions and release them into the same first
@@ -357,13 +354,13 @@ func (e *Engine) Resume() {
 }
 
 // loop is the engine goroutine: one step per iteration, exiting when
-// the run set drains.
+// the run book drains.
 func (e *Engine) loop() {
 	for e.stepOnce() {
 	}
 }
 
-// stepOnce executes one engine step and returns false when the run set
+// stepOnce executes one engine step and returns false when the run book
 // has drained (the loop exits; a later admit restarts it).  It blocks
 // while the engine is paused.  Ticks execute outside the engine lock so
 // event handlers running on this goroutine may call back into the
@@ -374,21 +371,18 @@ func (e *Engine) stepOnce() bool {
 	for e.paused {
 		e.cond.Wait()
 	}
-	if e.set.Len() == 0 {
+	if e.book.Len() == 0 {
 		e.running = false
 		e.pool.Stop()
 		e.cond.Broadcast()
 		e.mu.Unlock()
 		return false
 	}
-	due, ids, _ := e.set.DueBatch()
+	// The batch is the book's buffer: only this goroutine calls
+	// dueBatch, so it stays valid for the whole step.
+	due, batch := e.book.dueBatch()
 	step := e.steps
 	e.steps++
-	// The DueBatch buffer is owned by the run set and only valid until
-	// its next call; resolve ids to entries into the engine's own
-	// reusable batch buffer (and its per-shard slices) before dropping
-	// the lock.
-	e.stepBatch = e.stepBatch[:0]
 	for i := range e.shardBatch {
 		e.shardBatch[i] = e.shardBatch[i][:0]
 	}
@@ -399,9 +393,7 @@ func (e *Engine) stepOnce() bool {
 	if e.pool.Lanes() == 1 {
 		groups = 1
 	}
-	for _, id := range ids {
-		en := e.entries[id]
-		e.stepBatch = append(e.stepBatch, en)
+	for _, en := range batch {
 		g := en.shard % groups
 		e.shardBatch[g] = append(e.shardBatch[g], en)
 	}
@@ -411,7 +403,6 @@ func (e *Engine) stepOnce() bool {
 			e.dueShards = append(e.dueShards, si)
 		}
 	}
-	batch := e.stepBatch
 	det := e.detector
 	e.stepRound, e.stepSample = step, det != nil
 	e.stepping = true
@@ -459,7 +450,7 @@ func (e *Engine) stepOnce() bool {
 	// monotone.
 	horizon := avtime.WorldTime(-1)
 	e.mu.Lock()
-	for _, en := range e.entries {
+	for _, en := range e.admitted {
 		if en.run.Err() != nil {
 			continue
 		}
@@ -470,12 +461,11 @@ func (e *Engine) stepOnce() bool {
 	for _, en := range batch {
 		// Refresh the introspection snapshot under the lock: Sessions()
 		// reads these fields instead of calling into the run, which
-		// this goroutine mutates outside the lock.
+		// this goroutine mutates outside the lock.  Finished runs are
+		// rescheduled too, so the book's key never goes stale before
+		// phase 3 removes them.
 		en.ticks = en.run.Ticks()
-		en.due = en.run.NextDue()
-		if en.run.Err() == nil && !en.run.Done() {
-			e.set.Reschedule(en.id, en.due)
-		}
+		e.book.reschedule(en, en.run.NextDue())
 	}
 	e.mu.Unlock()
 	if horizon >= 0 {
@@ -496,14 +486,13 @@ func (e *Engine) stepOnce() bool {
 			en.stage.Flush(sink)
 		}
 		e.mu.Lock()
-		e.set.Remove(en.id)
-		delete(e.entries, en.id)
-		e.removeAdmittedLocked(en.id)
+		e.book.remove(en)
+		e.removeAdmittedLocked(en)
 		e.finished++
 		if sink != nil {
 			// Under the lock for the same reason admit publishes under
 			// it: the gauge sequence must match the count sequence.
-			sink.SetGauge("engine.sessions.active", int64(len(e.entries)))
+			sink.SetGauge("engine.sessions.active", int64(len(e.admitted)))
 		}
 		e.mu.Unlock()
 		if sink != nil {
@@ -586,8 +575,8 @@ func (e *Engine) overloadStep(det *sched.OverloadDetector, sink obs.Sink, stallD
 func (e *Engine) degradeCandidates() []*Session {
 	e.mu.Lock()
 	sessions := e.sessScratch[:0]
-	for _, id := range e.admitted {
-		if en := e.entries[id]; en.sess != nil {
+	for _, en := range e.admitted {
+		if en.sess != nil {
 			sessions = append(sessions, en.sess)
 		}
 	}
@@ -715,7 +704,7 @@ func (e *Engine) Sessions() []EngineSession {
 // SessionsAppend appends up to top active entries (0 = all), in
 // admission order, to buf and returns the extended slice — the
 // avdbsh-facing listing that stays usable at 10k sessions: the
-// admission-order id list is maintained incrementally (appended at
+// admission-order entry list is maintained incrementally (appended at
 // admit, spliced at retire), so no per-call sort happens, the cap
 // bounds both the copy and the per-session lock hops, and a retained
 // buf makes repeated polls allocation-free once warm.
@@ -730,8 +719,7 @@ func (e *Engine) SessionsAppend(buf []EngineSession, top int) []EngineSession {
 	if top > 0 && top < n {
 		n = top
 	}
-	for _, id := range e.admitted[:n] {
-		en := e.entries[id]
+	for _, en := range e.admitted[:n] {
 		state := "running"
 		if en.ticks == 0 {
 			state = "admitted"
@@ -761,22 +749,14 @@ func (e *Engine) SessionsAppend(buf []EngineSession, top int) []EngineSession {
 	return buf
 }
 
-// removeAdmittedLocked splices a retired id out of the admission-order
-// list; the caller holds the engine lock.  Ids are monotonic so the
-// list is sorted and binary search finds the victim.
-func (e *Engine) removeAdmittedLocked(id sched.RunID) {
-	lo, hi := 0, len(e.admitted)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if e.admitted[mid] < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(e.admitted) && e.admitted[lo] == id {
-		copy(e.admitted[lo:], e.admitted[lo+1:])
-		e.admitted = e.admitted[:len(e.admitted)-1]
+// removeAdmittedLocked splices a retired entry out of the
+// admission-order list; the caller holds the engine lock.  Ids are
+// monotonic so the list is sorted by id and binary search finds it.
+func (e *Engine) removeAdmittedLocked(en *engineEntry) {
+	if i, ok := slices.BinarySearchFunc(e.admitted, en.id, func(x *engineEntry, id int64) int {
+		return cmp.Compare(x.id, id)
+	}); ok {
+		e.admitted = slices.Delete(e.admitted, i, i+1)
 	}
 }
 
@@ -802,7 +782,7 @@ func (e *Engine) Stats() EngineStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	st := EngineStats{
-		Active:   len(e.entries),
+		Active:   len(e.admitted),
 		Steps:    e.steps,
 		Finished: e.finished,
 		Paused:   e.paused,

@@ -15,7 +15,7 @@ import (
 
 // fakeRun is a no-op engineRun: it ticks forever, advancing its due
 // time by one unit per tick, and allocates nothing.  Admitting fakes
-// isolates the engine's own step path — run-set heap churn, batch
+// isolates the engine's own step path — run-book heap churn, batch
 // resolution, label switching, snapshot refresh, clock commit — from
 // the graph executor's interior, so TestEngineAllocsPerStep and
 // BenchmarkEngineStep measure exactly the code this PR pins.
@@ -26,15 +26,15 @@ type fakeRun struct {
 	ticks int
 }
 
-func (f *fakeRun) Graph() *activity.Graph            { return f.g }
-func (f *fakeRun) Rate() avtime.Rate                 { return avtime.RateVideo30 }
-func (f *fakeRun) Ticks() int                        { return f.ticks }
-func (f *fakeRun) Err() error                        { return nil }
-func (f *fakeRun) Done() bool                        { return false }
-func (f *fakeRun) NextDue() avtime.WorldTime         { return f.due }
-func (f *fakeRun) CommitHorizon() avtime.WorldTime   { return f.due }
-func (f *fakeRun) SetRound(int64)                    {}
-func (f *fakeRun) SwapObs(s obs.Sink) obs.Sink       { return nil }
+func (f *fakeRun) Graph() *activity.Graph              { return f.g }
+func (f *fakeRun) Rate() avtime.Rate                   { return avtime.RateVideo30 }
+func (f *fakeRun) Ticks() int                          { return f.ticks }
+func (f *fakeRun) Err() error                          { return nil }
+func (f *fakeRun) Done() bool                          { return false }
+func (f *fakeRun) NextDue() avtime.WorldTime           { return f.due }
+func (f *fakeRun) CommitHorizon() avtime.WorldTime     { return f.due }
+func (f *fakeRun) SetRound(int64)                      {}
+func (f *fakeRun) SwapObs(s obs.Sink) obs.Sink         { return nil }
 func (f *fakeRun) Finish() (*activity.RunStats, error) { return &activity.RunStats{}, nil }
 
 func (f *fakeRun) Tick() (bool, error) {
@@ -66,7 +66,7 @@ func admitFakeRuns(t testing.TB, db *Database, n int) *Engine {
 }
 
 // TestEngineAllocsPerStep pins the tentpole target: once warm, one
-// engine step — DueBatch over the run-set heap, batch resolution,
+// engine step — dueBatch over the run-book heap, batch grouping,
 // per-run label switch and tick, snapshot refresh, reschedule, clock
 // commit — performs zero heap allocations of its own.  The runs are
 // no-op fakes, so any allocation measured here is engine bookkeeping.
@@ -77,7 +77,7 @@ func TestEngineAllocsPerStep(t *testing.T) {
 				db := testDB(t)
 				e := admitFakeRuns(t, db, n)
 				e.SetWorkers(workers)
-				// Warm the batch/retired/DueBatch buffers (and, sharded, the
+				// Warm the batch/retired/dueBatch buffers (and, sharded, the
 				// worker pool and its goroutines' sudog caches) past growth.
 				for i := 0; i < 32; i++ {
 					e.stepOnce()

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"avdb/internal/activity"
@@ -20,58 +21,110 @@ import (
 
 // TestEngineShardedDeterminism runs EngineWorkers {1,2,4}: every pool
 // size must produce the same obs snapshot bytes and the same
-// per-session RunStats as the serial engine.  Sessions are unstriped here, so shard assignment is
-// round-robin; the Zipf tenancy experiment covers stripe-keyed shards.
+// per-session RunStats as the serial engine.  Sessions are unstriped
+// here, so shard assignment is round-robin; the Zipf tenancy experiment
+// covers stripe-keyed shards.  The lockstep input starts every session
+// together at one rate, so each step has a single due time; the mixed
+// input runs sessions at 30 fps, 25 fps and NTSC, so steps batch
+// different subsets, and admits one more session after the first
+// session's fourth frame, at a step boundary held with Pause/Resume.
 func TestEngineShardedDeterminism(t *testing.T) {
 	const sessions = 5
-	run := func(engineWorkers int) (string, []*activity.RunStats) {
-		db := testDB(t)
-		col := db.EnableObservability()
-		db.Engine().SetWorkers(engineWorkers)
-		var pss []*playbackSession
-		for i := 0; i < sessions; i++ {
-			ps := buildPlaybackSession(t, db, fmt.Sprintf("shard-%d", i), 15+4*i)
-			pss = append(pss, ps)
-		}
-		db.Engine().Pause()
-		var pbs []*Playback
-		for _, ps := range pss {
-			pb, err := ps.sess.Start()
+	mixed := []avtime.Rate{avtime.RateVideo30, avtime.RateVideo25, avtime.RateNTSC}
+	for _, in := range []struct {
+		name string
+		rate func(i int) avtime.Rate
+		late bool
+	}{
+		{"lockstep", func(int) avtime.Rate { return avtime.RateVideo30 }, false},
+		{"mixed-rate", func(i int) avtime.Rate { return mixed[i%len(mixed)] }, true},
+	} {
+		run := func(engineWorkers int) (string, []*activity.RunStats) {
+			db := testDB(t)
+			col := db.EnableObservability()
+			eng := db.Engine()
+			eng.SetWorkers(engineWorkers)
+			var pss []*playbackSession
+			for i := 0; i < sessions; i++ {
+				ps := buildPlaybackSession(t, db, fmt.Sprintf("shard-%d", i), 15+4*i)
+				pss = append(pss, ps)
+			}
+			var late *playbackSession
+			hit, release := make(chan struct{}), make(chan struct{})
+			if in.late {
+				late = buildPlaybackSession(t, db, "shard-late", 12)
+				// Hold the step that shows the first session's fourth
+				// frame until the engine is marked paused, so the late
+				// admission lands at the same step boundary every run.
+				if err := pss[0].src.Catch(activity.EventEachFrame, func(info activity.EventInfo) {
+					if info.Seq == 3 {
+						close(hit)
+						<-release
+					}
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			eng.Pause()
+			var pbs []*Playback
+			for i, ps := range pss {
+				pb, err := ps.sess.StartAt(in.rate(i), 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pbs = append(pbs, pb)
+			}
+			eng.Resume()
+			if late != nil {
+				<-hit
+				paused := make(chan struct{})
+				go func() {
+					eng.Pause()
+					close(paused)
+				}()
+				for !eng.Stats().Paused {
+					runtime.Gosched()
+				}
+				close(release)
+				<-paused
+				pb, err := late.sess.StartAt(avtime.RateVideo25, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pbs = append(pbs, pb)
+				pss = append(pss, late)
+				eng.Resume()
+			}
+			var all []*activity.RunStats
+			for _, pb := range pbs {
+				stats, err := pb.Wait()
+				if err != nil {
+					t.Fatal(err)
+				}
+				all = append(all, stats)
+			}
+			for _, ps := range pss {
+				if err := ps.sess.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			js, err := col.Snapshot().JSON()
 			if err != nil {
 				t.Fatal(err)
 			}
-			pbs = append(pbs, pb)
+			return js, all
 		}
-		db.Engine().Resume()
-		var all []*activity.RunStats
-		for _, pb := range pbs {
-			stats, err := pb.Wait()
-			if err != nil {
-				t.Fatal(err)
-			}
-			all = append(all, stats)
-		}
-		for _, ps := range pss {
-			if err := ps.sess.Close(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		js, err := col.Snapshot().JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return js, all
-	}
 
-	baseSnap, baseStats := run(1)
-	for _, ew := range []int{2, 4} {
-		snap, stats := run(ew)
-		if !reflect.DeepEqual(baseStats, stats) {
-			t.Errorf("EngineWorkers=%d: per-session RunStats diverged", ew)
-		}
-		if snap != baseSnap {
-			t.Errorf("EngineWorkers=%d: obs snapshots differ (%d vs %d bytes)",
-				ew, len(snap), len(baseSnap))
+		baseSnap, baseStats := run(1)
+		for _, ew := range []int{2, 4} {
+			snap, stats := run(ew)
+			if !reflect.DeepEqual(baseStats, stats) {
+				t.Errorf("%s: EngineWorkers=%d: per-session RunStats diverged", in.name, ew)
+			}
+			if snap != baseSnap {
+				t.Errorf("%s: EngineWorkers=%d: obs snapshots differ (%d vs %d bytes)",
+					in.name, ew, len(snap), len(baseSnap))
+			}
 		}
 	}
 }

@@ -284,7 +284,7 @@ func TestPlaybackStopErrorReporting(t *testing.T) {
 	}
 }
 
-// TestEngineIntrospection checks the run-set listing avdbsh's `sessions`
+// TestEngineIntrospection checks the run-book listing avdbsh's `sessions`
 // command renders: entries visible with their state while admitted, the
 // counters advancing as runs retire.
 func TestEngineIntrospection(t *testing.T) {
