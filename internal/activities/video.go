@@ -315,7 +315,7 @@ func (d *VideoDecoder) Tick(tc *activity.TickContext) error {
 // ports "out0".."out{n-1}".
 type VideoTee struct {
 	*activity.Base
-	n int
+	outs []string // out port names, built once so Tick formats nothing
 }
 
 // NewVideoTee returns a tee with n outputs.
@@ -323,10 +323,11 @@ func NewVideoTee(name string, loc activity.Location, n int) (*VideoTee, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("activities: a tee needs at least 2 outputs, got %d", n)
 	}
-	t := &VideoTee{Base: activity.NewBase(name, "VideoTee", loc), n: n}
+	t := &VideoTee{Base: activity.NewBase(name, "VideoTee", loc)}
 	t.AddPort("in", activity.In, media.TypeRawVideo30)
 	for i := 0; i < n; i++ {
-		t.AddPort(fmt.Sprintf("out%d", i), activity.Out, media.TypeRawVideo30)
+		t.outs = append(t.outs, fmt.Sprintf("out%d", i))
+		t.AddPort(t.outs[i], activity.Out, media.TypeRawVideo30)
 	}
 	return t, nil
 }
@@ -337,9 +338,9 @@ func (t *VideoTee) Tick(tc *activity.TickContext) error {
 	if in == nil {
 		return nil
 	}
-	for i := 0; i < t.n; i++ {
+	for _, port := range t.outs {
 		out := *in
-		tc.Emit(fmt.Sprintf("out%d", i), &out)
+		tc.Emit(port, &out)
 	}
 	return nil
 }
@@ -351,6 +352,7 @@ func (t *VideoTee) Tick(tc *activity.TickContext) error {
 type VideoMixer struct {
 	*activity.Base
 	weights []float64
+	ins     []string // in port names, parallel to weights
 }
 
 // NewVideoMixer returns a mixer with one in port per weight
@@ -367,7 +369,8 @@ func NewVideoMixer(name string, loc activity.Location, weights []float64) (*Vide
 	}
 	m := &VideoMixer{Base: activity.NewBase(name, "VideoMixer", loc), weights: append([]float64(nil), weights...)}
 	for i := range weights {
-		m.AddPort(fmt.Sprintf("in%d", i), activity.In, media.TypeRawVideo30)
+		m.ins = append(m.ins, fmt.Sprintf("in%d", i))
+		m.AddPort(m.ins[i], activity.In, media.TypeRawVideo30)
 	}
 	m.AddPort("out", activity.Out, media.TypeRawVideo30)
 	return m, nil
@@ -380,7 +383,7 @@ func (m *VideoMixer) Tick(tc *activity.TickContext) error {
 	var chunks []*activity.Chunk
 	var seq int
 	for i := range m.weights {
-		in := tc.In(fmt.Sprintf("in%d", i))
+		in := tc.In(m.ins[i])
 		if in == nil {
 			continue
 		}

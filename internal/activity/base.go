@@ -283,6 +283,14 @@ func (b *Base) Reset() error {
 // TickContext carries one scheduling interval through an activity's Tick:
 // the chunks that arrived on its In ports and the chunks it emits on its
 // Out ports.
+//
+// Chunks sit in port slots, one per port: a short slice searched by name,
+// since an activity has a handful of ports.  A GraphRun builds one context
+// per node in Begin, with a slot for each declared port in declaration
+// order, and reuses it every tick: it overwrites the header fields before
+// the node ticks and clears every slot when the tick ends, so no context
+// holds a chunk between ticks.  An activity must therefore not keep tc (or
+// read it) after its Tick returns; the chunks themselves it may keep.
 type TickContext struct {
 	Now      avtime.WorldTime // scheduled tick time
 	Seq      int              // tick number since graph start
@@ -294,27 +302,102 @@ type TickContext struct {
 	// shares one round, so the per-disk SCAN-EDF batches span sessions.
 	Round int64
 
-	in  map[string]*Chunk
-	out map[string]*Chunk
+	slots    []portSlot
+	declared int // slots[:declared] are the node's ports; the rest were added by name this tick
 }
 
-// NewTickContext returns a context for one tick; the graph runner is the
-// usual constructor.
+// portSlot is one port's traffic in the current tick.  port is nil for a
+// slot added by name for a port the activity never declared.
+type portSlot struct {
+	name    string
+	port    *Port
+	in, out *Chunk
+}
+
+// NewTickContext returns a standalone context for one tick, with no
+// declared ports: SetIn and Emit add a slot per name they see.  Graph
+// runs and composites build their reusable per-node contexts themselves;
+// this constructor is for tests and one-off ticks.
 func NewTickContext(now avtime.WorldTime, seq int, iv avtime.Interval) *TickContext {
-	return &TickContext{Now: now, Seq: seq, Interval: iv, Round: int64(seq), in: make(map[string]*Chunk), out: make(map[string]*Chunk)}
+	return &TickContext{Now: now, Seq: seq, Interval: iv, Round: int64(seq)}
+}
+
+// newNodeContext returns a reusable context with one slot per port of a,
+// in declaration order.
+func newNodeContext(a Activity) *TickContext {
+	ports := a.Ports()
+	tc := &TickContext{slots: make([]portSlot, 0, len(ports))}
+	for _, p := range ports {
+		tc.declare(p)
+	}
+	return tc
+}
+
+// declare returns p's slot, adding it as a declared slot if absent.  It
+// runs at setup, before any tick.
+func (tc *TickContext) declare(p *Port) int {
+	if i := tc.find(p.Name()); i >= 0 {
+		return i
+	}
+	tc.slots = append(tc.slots, portSlot{name: p.Name(), port: p})
+	tc.declared = len(tc.slots)
+	return tc.declared - 1
+}
+
+// find returns the index of the named slot, or -1.
+func (tc *TickContext) find(port string) int {
+	for i := range tc.slots {
+		if tc.slots[i].name == port {
+			return i
+		}
+	}
+	return -1
+}
+
+// slot returns the named slot, adding an undeclared one if absent.
+func (tc *TickContext) slot(port string) *portSlot {
+	i := tc.find(port)
+	if i < 0 {
+		i = len(tc.slots)
+		tc.slots = append(tc.slots, portSlot{name: port})
+	}
+	return &tc.slots[i]
+}
+
+// begin readies a reused context for the next tick.
+func (tc *TickContext) begin(now avtime.WorldTime, seq int, iv avtime.Interval, round int64) {
+	tc.Now, tc.Seq, tc.Interval, tc.Round = now, seq, iv, round
+}
+
+// reset ends a tick: it drops every chunk reference and every slot added
+// by name, so the tick's frames die with the tick.
+func (tc *TickContext) reset() {
+	clear(tc.slots[tc.declared:])
+	tc.slots = tc.slots[:tc.declared]
+	for i := range tc.slots {
+		tc.slots[i].in, tc.slots[i].out = nil, nil
+	}
 }
 
 // In returns the chunk delivered to the named In port this tick, or nil.
-func (tc *TickContext) In(port string) *Chunk { return tc.in[port] }
+func (tc *TickContext) In(port string) *Chunk {
+	if i := tc.find(port); i >= 0 {
+		return tc.slots[i].in
+	}
+	return nil
+}
 
 // SetIn places a chunk on an In port (the graph runner's side).
-func (tc *TickContext) SetIn(port string, c *Chunk) { tc.in[port] = c }
+func (tc *TickContext) SetIn(port string, c *Chunk) { tc.slot(port).in = c }
 
-// Emit places a chunk on an Out port.
-func (tc *TickContext) Emit(port string, c *Chunk) { tc.out[port] = c }
+// Emit places a chunk on an Out port.  Under a graph run, emitting on a
+// port the activity never declared fails the run after the node's tick.
+func (tc *TickContext) Emit(port string, c *Chunk) { tc.slot(port).out = c }
 
 // Out returns the chunk emitted on the named Out port this tick, or nil.
-func (tc *TickContext) Out(port string) *Chunk { return tc.out[port] }
-
-// Outputs returns the emitted chunks by port name.
-func (tc *TickContext) Outputs() map[string]*Chunk { return tc.out }
+func (tc *TickContext) Out(port string) *Chunk {
+	if i := tc.find(port); i >= 0 {
+		return tc.slots[i].out
+	}
+	return nil
+}

@@ -73,6 +73,23 @@ type Composite struct {
 	muxOut map[string][]portRef
 	muxIn  map[string][]portRef
 	sync   *sched.Resync
+	// plan is the structure Tick runs from, built on the first Tick and
+	// dropped by every structural change.
+	plan *compositePlan
+}
+
+// compositePlan is a frozen copy of the composite's structure with one
+// reusable TickContext per component, so a tick neither copies the
+// wiring nor allocates contexts.
+type compositePlan struct {
+	children   []Activity // installation order
+	order      []Activity // internal topological order
+	ctxs       map[string]*TickContext
+	internal   []*Connection
+	exportsIn  map[string]portRef
+	exportsOut map[string]portRef
+	muxOut     map[string][]portRef
+	muxIn      map[string][]portRef
 }
 
 type portRef struct {
@@ -107,6 +124,7 @@ func (c *Composite) Install(child Activity) error {
 	}
 	c.children[child.Name()] = child
 	c.childOrder = append(c.childOrder, child.Name())
+	c.plan = nil
 	return nil
 }
 
@@ -153,6 +171,7 @@ func (c *Composite) ConnectChildren(from Activity, outPort string, to Activity, 
 	}
 	conn := &Connection{from: from, fromPort: fp, to: to, toPort: tp}
 	c.internal = append(c.internal, conn)
+	c.plan = nil
 	return conn, nil
 }
 
@@ -167,6 +186,7 @@ func (c *Composite) ExportIn(name string, child Activity, childPort string) erro
 	c.AddPort(name, In, p.Type())
 	c.mu.Lock()
 	c.exportsIn[name] = portRef{child, childPort}
+	c.plan = nil
 	c.mu.Unlock()
 	return nil
 }
@@ -180,6 +200,7 @@ func (c *Composite) ExportOut(name string, child Activity, childPort string) err
 	c.AddPort(name, Out, p.Type())
 	c.mu.Lock()
 	c.exportsOut[name] = portRef{child, childPort}
+	c.plan = nil
 	c.mu.Unlock()
 	return nil
 }
@@ -201,6 +222,7 @@ func (c *Composite) ExportMuxOut(name string, refs ...TrackRef) error {
 	c.AddPort(name, Out, media.TypeMultiTrack)
 	c.mu.Lock()
 	c.muxOut[name] = prs
+	c.plan = nil
 	c.mu.Unlock()
 	return nil
 }
@@ -222,6 +244,7 @@ func (c *Composite) ExportMuxIn(name string, refs ...TrackRef) error {
 	c.AddPort(name, In, media.TypeMultiTrack)
 	c.mu.Lock()
 	c.muxIn[name] = prs
+	c.plan = nil
 	c.mu.Unlock()
 	return nil
 }
@@ -287,42 +310,66 @@ func (c *Composite) Stop() error {
 	return errors.Join(errs...)
 }
 
+// tickPlan returns the current plan, building it after a structural
+// change.
+func (c *Composite) tickPlan() (*compositePlan, *sched.Resync, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.plan == nil {
+		children := make([]Activity, len(c.childOrder))
+		for i, n := range c.childOrder {
+			children[i] = c.children[n]
+		}
+		order, err := topoChildren(children, c.internal)
+		if err != nil {
+			return nil, nil, err
+		}
+		p := &compositePlan{
+			children:   children,
+			order:      order,
+			ctxs:       make(map[string]*TickContext, len(order)),
+			internal:   append([]*Connection(nil), c.internal...),
+			exportsIn:  copyRefs(c.exportsIn),
+			exportsOut: copyRefs(c.exportsOut),
+			muxOut:     copyMux(c.muxOut),
+			muxIn:      copyMux(c.muxIn),
+		}
+		for _, child := range order {
+			p.ctxs[child.Name()] = newNodeContext(child)
+		}
+		c.plan = p
+	}
+	return c.plan, c.sync, nil
+}
+
 // Tick implements Activity: it routes composite inputs to components,
 // runs the components in internal topological order with their latencies
 // and the synchronization corrections applied, and assembles composite
-// outputs.
+// outputs.  Components tick on the composite's reused contexts, which
+// carry the composite's own Now, Seq, Interval and Round and are cleared
+// when the tick returns.
 func (c *Composite) Tick(tc *TickContext) error {
-	c.mu.Lock()
-	children := make([]Activity, len(c.childOrder))
-	for i, n := range c.childOrder {
-		children[i] = c.children[n]
-	}
-	internal := append([]*Connection(nil), c.internal...)
-	exportsIn := copyRefs(c.exportsIn)
-	exportsOut := copyRefs(c.exportsOut)
-	muxOut := copyMux(c.muxOut)
-	muxIn := copyMux(c.muxIn)
-	syncCtl := c.sync
-	c.mu.Unlock()
-
-	order, err := topoChildren(children, internal)
+	plan, syncCtl, err := c.tickPlan()
 	if err != nil {
 		return err
 	}
-
-	ctxs := make(map[string]*TickContext, len(order))
-	for _, child := range order {
-		ctxs[child.Name()] = NewTickContext(tc.Now, tc.Seq, tc.Interval)
+	for _, ctx := range plan.ctxs {
+		ctx.begin(tc.Now, tc.Seq, tc.Interval, tc.Round)
 	}
+	defer func() {
+		for _, ctx := range plan.ctxs {
+			ctx.reset()
+		}
+	}()
 
 	// Route composite inputs.
-	for name, ref := range exportsIn {
+	for name, ref := range plan.exportsIn {
 		if in := tc.In(name); in != nil {
 			cp := *in
-			ctxs[ref.child.Name()].SetIn(ref.port, &cp)
+			plan.ctxs[ref.child.Name()].SetIn(ref.port, &cp)
 		}
 	}
-	for name, refs := range muxIn {
+	for name, refs := range plan.muxIn {
 		in := tc.In(name)
 		if in == nil {
 			continue
@@ -345,32 +392,31 @@ func (c *Composite) Tick(tc *TickContext) error {
 				cp.Arrived += syncCtl.Correction(ref.child.Name())
 				syncCtl.Observe(ref.child.Name(), lat)
 			}
-			ctxs[ref.child.Name()].SetIn(ref.port, &cp)
+			plan.ctxs[ref.child.Name()].SetIn(ref.port, &cp)
 		}
 	}
 
-	// Run components.
-	outputs := make(map[string]map[string]*Chunk, len(order)) // child -> port -> chunk
-	for _, child := range order {
-		ctx := ctxs[child.Name()]
+	// Run components.  A component's emitted chunks stay in its context's
+	// out slots for the rest of the tick; a component that did not tick
+	// has none.
+	for _, child := range plan.order {
+		ctx := plan.ctxs[child.Name()]
 		// Feed internal connections from already-run components.
-		for _, conn := range internal {
+		for _, conn := range plan.internal {
 			if conn.to.Name() != child.Name() {
 				continue
 			}
-			if srcOuts := outputs[conn.from.Name()]; srcOuts != nil {
-				if chunk := srcOuts[conn.fromPort.Name()]; chunk != nil {
-					oc := conn.deliver(chunk)
-					if oc.err != nil {
-						return oc.err
-					}
-					if oc.chunk == nil {
-						// Lost or absorbed in flight inside the composite.
-						emitFault(conn.to, EventInfo{Event: EventFault, Activity: conn.to.Name(), At: tc.Now, Seq: chunk.Seq})
-						continue
-					}
-					ctx.SetIn(conn.toPort.Name(), oc.chunk)
+			if chunk := plan.ctxs[conn.from.Name()].Out(conn.fromPort.Name()); chunk != nil {
+				oc := conn.deliver(chunk)
+				if oc.err != nil {
+					return oc.err
 				}
+				if oc.chunk == nil {
+					// Lost or absorbed in flight inside the composite.
+					emitFault(conn.to, EventInfo{Event: EventFault, Activity: conn.to.Name(), At: tc.Now, Seq: chunk.Seq})
+					continue
+				}
+				ctx.SetIn(conn.toPort.Name(), oc.chunk)
 			}
 		}
 		if child.State() != StateStarted {
@@ -380,8 +426,8 @@ func (c *Composite) Tick(tc *TickContext) error {
 			return fmt.Errorf("activity: composite %s component %s: %w", c.Name(), child.Name(), err)
 		}
 		lat := sampleLatency(child)
-		outs := make(map[string]*Chunk)
-		for port, chunk := range ctx.Outputs() {
+		for k := range ctx.slots {
+			chunk := ctx.slots[k].out
 			if chunk == nil {
 				continue
 			}
@@ -393,26 +439,20 @@ func (c *Composite) Tick(tc *TickContext) error {
 			if chunk.Track == "" {
 				chunk.Track = child.Name()
 			}
-			outs[port] = chunk
 		}
-		outputs[child.Name()] = outs
 	}
 
 	// Assemble composite outputs.
-	for name, ref := range exportsOut {
-		if outs := outputs[ref.child.Name()]; outs != nil {
-			if chunk := outs[ref.port]; chunk != nil {
-				tc.Emit(name, chunk)
-			}
+	for name, ref := range plan.exportsOut {
+		if chunk := plan.ctxs[ref.child.Name()].Out(ref.port); chunk != nil {
+			tc.Emit(name, chunk)
 		}
 	}
-	for name, refs := range muxOut {
+	for name, refs := range plan.muxOut {
 		mp := &MultiPayload{Parts: make(map[string]*Chunk, len(refs))}
 		for _, ref := range refs {
-			if outs := outputs[ref.child.Name()]; outs != nil {
-				if chunk := outs[ref.port]; chunk != nil {
-					mp.Parts[ref.child.Name()] = chunk
-				}
+			if chunk := plan.ctxs[ref.child.Name()].Out(ref.port); chunk != nil {
+				mp.Parts[ref.child.Name()] = chunk
 			}
 		}
 		if len(mp.Parts) == 0 {
@@ -425,7 +465,7 @@ func (c *Composite) Tick(tc *TickContext) error {
 	// A source composite finishes when all its source components have.
 	if c.Kind() == KindSource {
 		done := true
-		for _, child := range children {
+		for _, child := range plan.children {
 			if child.Kind() == KindSource && child.State() == StateStarted {
 				done = false
 				break

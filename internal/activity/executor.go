@@ -68,9 +68,8 @@ func maxWidth(levels [][]Activity) int {
 
 // tickEntry is one activity's unit of work for the current level: built
 // in phase A, executed (possibly concurrently) in phase B, merged in
-// phase C.  Entries live in a slice reused across ticks so the steady
-// state allocates nothing beyond the tick contexts the serial executor
-// already made.
+// phase C.  Entries live in a slice reused across ticks, and tc is the
+// node's own reused context, so staging a level allocates nothing.
 type tickEntry struct {
 	node Activity
 	tc   *TickContext

@@ -376,16 +376,6 @@ func (g *Graph) Run(cfg RunConfig) (*RunStats, error) {
 	return r.Finish()
 }
 
-// sourcesFinished reports whether no source activity remains started.
-func (g *Graph) sourcesFinished() bool {
-	for _, a := range g.Nodes() {
-		if a.Kind() == KindSource && a.State() == StateStarted {
-			return false
-		}
-	}
-	return true
-}
-
 // eventEmitter is satisfied by *Base and therefore by every concrete
 // activity.
 type eventEmitter interface {

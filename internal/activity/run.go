@@ -29,28 +29,35 @@ import (
 //
 // GraphRun is not safe for concurrent use: Tick, Commit, SetRound and
 // Finish must be called from one goroutine at a time.
+//
+// A tick allocates nothing of its own: Begin resolves everything the
+// topology fixes — each node's reusable TickContext, its incoming
+// connections with the producer and consumer port slots they join, the
+// source nodes — and Tick only walks those.  The chunks a tick produces
+// live in the contexts' port slots until the tick returns, when every
+// slot is cleared.
 type GraphRun struct {
 	g        *Graph
 	clock    *sched.VirtualClock
 	rate     avtime.Rate
 	maxTicks int
 
-	order    []Activity
-	conns    []*Connection
-	incoming map[string][]*Connection
-	levels   [][]Activity
-	pool     *sched.Pool
-	batch    sched.Batch // phase B over entries, reused level to level
-	entries  []tickEntry
-	latest   avtime.WorldTime // latest chunk arrival so far; Finish drains to it
+	conns   []*Connection
+	nodes   []*runNode   // one per node, in topological order
+	levels  [][]*runNode // nodes partitioned into dependency levels
+	sources []Activity   // the source nodes, for the done check
+	pool    *sched.Pool
+	batch   sched.Batch // phase B over entries, reused level to level
+	entries []tickEntry
+	latest  avtime.WorldTime // latest chunk arrival so far; Finish drains to it
 
 	startAt avtime.WorldTime
 	lastNow avtime.WorldTime // scheduled time of the last executed tick
 
 	sink      obs.Sink
 	pbSpan    obs.SpanID
-	actSpans  map[string]obs.SpanID
-	connSpans map[*Connection]obs.SpanID
+	actSpans  []obs.SpanID // parallel to nodes
+	connSpans []obs.SpanID // parallel to conns
 
 	stats    *RunStats
 	tick     int   // ticks executed so far
@@ -58,6 +65,24 @@ type GraphRun struct {
 	runErr   error
 	done     bool
 	finished bool
+}
+
+// runNode is one node's tick state for the whole run: its reusable
+// context and its incoming connections, resolved to port slots.
+type runNode struct {
+	node Activity
+	tc   *TickContext
+	in   []runEdge // incoming connections, in connection order
+}
+
+// runEdge is one incoming connection: the chunk in the producer's out
+// slot src.slots[from] crosses conn into the consumer's in slot to.
+type runEdge struct {
+	conn *Connection
+	span int // index into GraphRun.connSpans
+	src  *TickContext
+	from int
+	to   int
 }
 
 // Begin validates the configuration, freezes the graph's topology into
@@ -88,21 +113,41 @@ func (g *Graph) Begin(cfg RunConfig) (*GraphRun, error) {
 	}
 	levels := levelize(order, incoming)
 	r := &GraphRun{
-		g:         g,
-		clock:     cfg.Clock,
-		rate:      rate,
-		maxTicks:  maxTicks,
-		order:     order,
-		conns:     conns,
-		incoming:  incoming,
-		levels:    levels,
-		pool:      cfg.Pool,
-		entries:   make([]tickEntry, 0, len(order)),
-		startAt:   cfg.Clock.Now(),
-		sink:      cfg.Obs,
-		connSpans: map[*Connection]obs.SpanID{},
-		stats:     &RunStats{},
-		round:     -1,
+		g:        g,
+		clock:    cfg.Clock,
+		rate:     rate,
+		maxTicks: maxTicks,
+		conns:    conns,
+		nodes:    make([]*runNode, len(order)),
+		levels:   make([][]*runNode, len(levels)),
+		pool:     cfg.Pool,
+		entries:  make([]tickEntry, 0, len(order)),
+		startAt:  cfg.Clock.Now(),
+		sink:     cfg.Obs,
+		stats:    &RunStats{},
+		round:    -1,
+	}
+	byName := make(map[string]*runNode, len(order))
+	for i, node := range order {
+		rn := &runNode{node: node, tc: newNodeContext(node)}
+		r.nodes[i] = rn
+		byName[node.Name()] = rn
+		if node.Kind() == KindSource {
+			r.sources = append(r.sources, node)
+		}
+	}
+	for i, c := range conns {
+		src, dst := byName[c.from.Name()], byName[c.to.Name()]
+		dst.in = append(dst.in, runEdge{
+			conn: c, span: i, src: src.tc,
+			from: src.tc.declare(c.fromPort), to: dst.tc.declare(c.toPort),
+		})
+	}
+	for d, level := range levels {
+		r.levels[d] = make([]*runNode, len(level))
+		for j, node := range level {
+			r.levels[d][j] = byName[node.Name()]
+		}
 	}
 	r.batch.Do = r.execEntry
 	r.batch.Labels = cfg.Labels
@@ -113,12 +158,13 @@ func (g *Graph) Begin(cfg RunConfig) (*GraphRun, error) {
 	// sink.
 	if r.sink != nil {
 		r.pbSpan = r.sink.BeginSpan(cfg.ObsParent, obs.KindPlayback, g.name, r.startAt)
-		r.actSpans = make(map[string]obs.SpanID, len(order))
-		for _, node := range order {
-			r.actSpans[node.Name()] = r.sink.BeginSpan(r.pbSpan, obs.KindActivity, node.Name(), r.startAt)
+		r.actSpans = make([]obs.SpanID, len(order))
+		r.connSpans = make([]obs.SpanID, len(conns))
+		for i, node := range order {
+			r.actSpans[i] = r.sink.BeginSpan(r.pbSpan, obs.KindActivity, node.Name(), r.startAt)
 		}
-		for _, c := range conns {
-			r.connSpans[c] = r.sink.BeginSpan(r.pbSpan, obs.KindConnection, c.label, r.startAt)
+		for i, c := range conns {
+			r.connSpans[i] = r.sink.BeginSpan(r.pbSpan, obs.KindConnection, c.label, r.startAt)
 		}
 		// Executor shape, not executor configuration: both gauges depend
 		// only on the graph, so serial and parallel snapshots stay
@@ -214,8 +260,6 @@ func (r *GraphRun) Tick() (bool, error) {
 	r.stats.Elapsed = r.clock.Now() - r.startAt
 
 	tick := r.tick
-	stats := r.stats
-	sink := r.sink
 	now := r.startAt + r.rate.DurationOf(avtime.ObjectTime(tick))
 	iv := avtime.Interval{Start: now, Dur: r.rate.UnitDuration()}
 	round := r.round
@@ -223,32 +267,61 @@ func (r *GraphRun) Tick() (bool, error) {
 		round = int64(tick)
 	}
 
+	anyRunning, last, err := r.tickLevels(now, iv, tick, round)
+	// The contexts hold this tick's chunks; drop them on every path so
+	// the frames die with the tick instead of living until the next.
+	for _, rn := range r.nodes {
+		rn.tc.reset()
+	}
+	clear(r.entries[:cap(r.entries)])
+	if err != nil {
+		r.runErr = err
+		return true, err
+	}
+	r.stats.Ticks++
+	if last > r.latest {
+		r.latest = last
+	}
+	r.lastNow = now
+	r.tick++
+	if !anyRunning || r.sourcesFinished() || r.tick >= r.maxTicks {
+		r.done = true
+	}
+	return r.done, nil
+}
+
+// tickLevels runs one tick's levels and reports whether any node was
+// running and the latest chunk arrival the tick produced.
+func (r *GraphRun) tickLevels(now avtime.WorldTime, iv avtime.Interval, tick int, round int64) (bool, avtime.WorldTime, error) {
+	stats := r.stats
+	sink := r.sink
 	anyRunning := false
 	var last avtime.WorldTime
-	produced := make(map[*Port]*Chunk)
 	for _, level := range r.levels {
 		r.entries = r.entries[:0]
 
 		// Phase A — serial, in topological order: move chunks across
 		// connections, account faults, emit chunk spans, stage every
 		// running node's tick inputs.  Producers sit in strictly
-		// earlier levels, so `produced` is complete for this level.
-		for _, node := range level {
+		// earlier levels, so their out slots are final for this level.
+		for _, rn := range level {
+			node := rn.node
 			if node.State() != StateStarted {
 				continue
 			}
 			anyRunning = true
-			tc := NewTickContext(now, tick, iv)
-			tc.Round = round
-			for _, conn := range r.incoming[node.Name()] {
-				src := produced[conn.fromPort]
+			tc := rn.tc
+			tc.begin(now, tick, iv, round)
+			for k := range rn.in {
+				edge := &rn.in[k]
+				src := edge.src.slots[edge.from].out
 				if src == nil {
 					continue
 				}
+				conn := edge.conn
 				oc := conn.deliver(src)
 				if oc.err != nil {
-					r.runErr = oc.err
-					return true, r.runErr
+					return anyRunning, last, oc.err
 				}
 				if oc.chunk == nil {
 					// Lost in flight or absorbed by a fail-soft connection:
@@ -267,12 +340,12 @@ func (r *GraphRun) Tick() (bool, error) {
 					stats.ChunksCorrupted++
 				}
 				if sink != nil {
-					cs := sink.BeginSpan(r.connSpans[conn], obs.KindChunk, conn.label, src.At)
+					cs := sink.BeginSpan(r.connSpans[edge.span], obs.KindChunk, conn.label, src.At)
 					sink.SpanAttr(cs, "seq", int64(src.Seq))
 					sink.EndSpan(cs, oc.chunk.Arrived)
 					sink.Observe("stream.chunk_latency_us", int64(oc.chunk.Arrived-oc.chunk.At))
 				}
-				tc.SetIn(conn.toPort.Name(), oc.chunk)
+				tc.slots[edge.to].in = oc.chunk
 				stats.Chunks++
 				stats.BytesMoved += oc.chunk.Size()
 				if oc.chunk.Arrived > last {
@@ -288,49 +361,45 @@ func (r *GraphRun) Tick() (bool, error) {
 		r.pool.Run(&r.batch, len(r.entries))
 
 		// Phase C — serial, in topological order: surface the first
-		// error, stamp activity latency onto outputs, publish chunks
-		// for the next level.
+		// error, stamp activity latency onto outputs and leave them in
+		// the out slots for the next level, walking each node's ports
+		// in declaration order.
 		for i := range r.entries {
 			e := &r.entries[i]
 			if e.err != nil {
-				r.runErr = fmt.Errorf("activity: %s at tick %d: %w", e.node.Name(), tick, e.err)
-				return true, r.runErr
+				return anyRunning, last, fmt.Errorf("activity: %s at tick %d: %w", e.node.Name(), tick, e.err)
 			}
-			for port, c := range e.tc.Outputs() {
+			for k := range e.tc.slots {
+				slot := &e.tc.slots[k]
+				c := slot.out
 				if c == nil {
 					continue
+				}
+				if slot.port == nil {
+					return anyRunning, last, fmt.Errorf("activity: %s emitted on unknown port %q", e.node.Name(), slot.name)
 				}
 				if c.Arrived < now {
 					c.Arrived = now
 				}
 				c.Arrived += e.lat
 				propagateExtra(c, e.lat)
-				p, ok := e.node.Port(port)
-				if !ok {
-					r.runErr = fmt.Errorf("activity: %s emitted on unknown port %q", e.node.Name(), port)
-					return true, r.runErr
-				}
 				if c.Arrived > last {
 					last = c.Arrived
 				}
-				produced[p] = c
 			}
 		}
 	}
+	return anyRunning, last, nil
+}
 
-	// The entries' tick contexts hold this tick's chunks; drop them so
-	// the frames die with the tick instead of living until the next.
-	clear(r.entries[:cap(r.entries)])
-	stats.Ticks++
-	if last > r.latest {
-		r.latest = last
+// sourcesFinished reports whether no source node remains started.
+func (r *GraphRun) sourcesFinished() bool {
+	for _, a := range r.sources {
+		if a.State() == StateStarted {
+			return false
+		}
 	}
-	r.lastNow = now
-	r.tick++
-	if !anyRunning || r.g.sourcesFinished() || r.tick >= r.maxTicks {
-		r.done = true
-	}
-	return r.done, nil
+	return true
 }
 
 // Finish completes the run: on success it advances the clock to the
@@ -368,8 +437,8 @@ func (r *GraphRun) closeObs() {
 		return
 	}
 	now := r.clock.Now()
-	for _, c := range r.conns {
-		id := r.connSpans[c]
+	for i, c := range r.conns {
+		id := r.connSpans[i]
 		c.mu.Lock()
 		chunks, bytes := c.chunks, c.bytes
 		c.mu.Unlock()
@@ -377,8 +446,8 @@ func (r *GraphRun) closeObs() {
 		r.sink.SpanAttr(id, "bytes", bytes)
 		r.sink.EndSpan(id, now)
 	}
-	for _, node := range r.order {
-		r.sink.EndSpan(r.actSpans[node.Name()], now)
+	for _, id := range r.actSpans {
+		r.sink.EndSpan(id, now)
 	}
 	r.sink.SpanAttr(r.pbSpan, "ticks", int64(r.stats.Ticks))
 	r.sink.EndSpan(r.pbSpan, now)

@@ -14,10 +14,10 @@ import (
 )
 
 // The random-DAG differential is the safety net for the one tick pool:
-// seeded DAGs of widths 1–8 with fan-in and fan-out run through
-// Graph.Run with no pool and on pools of 2 and 4 lanes, and as
-// co-admitted sessions stepped by the engine at EngineWorkers 1, 2 and
-// 4.  Every arm of one runner must reproduce its first arm's RunStats and
+// seeded DAGs of widths 1–8 with fan-in, fan-out and two-port outputs
+// run through Graph.Run with no pool and on pools of 2 and 4 lanes, and
+// as co-admitted sessions stepped by the engine at EngineWorkers 1, 2
+// and 4.  Every arm of one runner must reproduce its first arm's RunStats and
 // obs snapshot bytes, and a lone session under the engine must
 // reproduce Graph.Run's RunStats.
 
@@ -31,13 +31,24 @@ func (e dagElem) Size() int64             { return 16 + int64(e.v%48) }
 
 // dagNode is a source (no inputs: emits frames then finishes), a
 // transformer, or a sink (no output port), with a seeded latency model.
+// A node with two or more successors has two out ports, "out" and
+// "out1", and emits a different value on each, so a chunk published on
+// the wrong port changes every value downstream of it.
 type dagNode struct {
 	*activity.Base
 	ins    []string
-	out    bool
+	outs   []string
 	frames int
 	pos    int
 	acc    uint64
+}
+
+// emit publishes one chunk per out port; port k carries the running hash
+// offset by k.
+func (n *dagNode) emit(tc *activity.TickContext, seq int, arrived avtime.WorldTime) {
+	for k, port := range n.outs {
+		tc.Emit(port, &activity.Chunk{Seq: seq, At: tc.Now, Arrived: arrived, Payload: dagElem{n.acc + uint64(k)*0x9e3779b97f4a7c15}})
+	}
 }
 
 func (n *dagNode) Tick(tc *activity.TickContext) error {
@@ -47,7 +58,7 @@ func (n *dagNode) Tick(tc *activity.TickContext) error {
 			return nil
 		}
 		n.acc = n.acc*6364136223846793005 + uint64(n.pos) + 1
-		tc.Emit("out", &activity.Chunk{Seq: n.pos, At: tc.Now, Arrived: tc.Now, Payload: dagElem{n.acc}})
+		n.emit(tc, n.pos, tc.Now)
 		n.pos++
 		if n.pos >= n.frames {
 			n.MarkDone()
@@ -61,8 +72,8 @@ func (n *dagNode) Tick(tc *activity.TickContext) error {
 			got = append(got, in)
 		}
 	}
-	if len(got) > 0 && n.out {
-		tc.Emit("out", &activity.Chunk{Seq: got[0].Seq, At: tc.Now, Arrived: activity.MaxArrival(got...), Payload: dagElem{n.acc}})
+	if len(got) > 0 {
+		n.emit(tc, got[0].Seq, activity.MaxArrival(got...))
 	}
 	return nil
 }
@@ -119,9 +130,10 @@ func genDAG(rng *rand.Rand) dagSpec {
 }
 
 // build instantiates fresh nodes for the spec and wires them through
-// the given add and connect functions.
+// the given add and connect functions.  A node's successors take its out
+// ports in turn.
 func (spec dagSpec) build(seed int64, add func(activity.Activity) error,
-	connect func(from, to activity.Activity, port string) error) error {
+	connect func(from activity.Activity, outPort string, to activity.Activity, inPort string) error) error {
 	nodes := make([]*dagNode, len(spec.preds))
 	for i, preds := range spec.preds {
 		n := &dagNode{Base: activity.NewBase(fmt.Sprintf("n%d", i), "DAGNode", activity.AtDatabase), frames: spec.frames[i]}
@@ -130,8 +142,13 @@ func (spec dagSpec) build(seed int64, add func(activity.Activity) error,
 			n.AddPort(n.ins[k], activity.In, media.TypeRawVideo30)
 		}
 		if len(preds) == 0 || spec.succs[i] > 0 {
-			n.out = true
-			n.AddPort("out", activity.Out, media.TypeRawVideo30)
+			n.outs = append(n.outs, "out")
+		}
+		if spec.succs[i] >= 2 {
+			n.outs = append(n.outs, "out1")
+		}
+		for _, port := range n.outs {
+			n.AddPort(port, activity.Out, media.TypeRawVideo30)
 		}
 		n.SetLatency(sched.NewLatency(avtime.WorldTime(spec.latency[i])*avtime.Microsecond,
 			avtime.WorldTime(spec.jitter[i])*avtime.Microsecond, seed+int64(i)))
@@ -140,11 +157,14 @@ func (spec dagSpec) build(seed int64, add func(activity.Activity) error,
 		}
 		nodes[i] = n
 	}
+	used := make([]int, len(nodes))
 	for i, preds := range spec.preds {
 		for k, p := range preds {
-			if err := connect(nodes[p], nodes[i], nodes[i].ins[k]); err != nil {
+			from := nodes[p]
+			if err := connect(from, from.outs[used[p]%len(from.outs)], nodes[i], nodes[i].ins[k]); err != nil {
 				return err
 			}
+			used[p]++
 		}
 	}
 	return nil
@@ -155,8 +175,8 @@ func (spec dagSpec) build(seed int64, add func(activity.Activity) error,
 func runDAGGraph(t testing.TB, spec dagSpec, seed int64, lanes int) (*activity.RunStats, string) {
 	t.Helper()
 	g := activity.NewGraph("dag")
-	err := spec.build(seed, g.Add, func(from, to activity.Activity, port string) error {
-		_, err := g.Connect(from, "out", to, port)
+	err := spec.build(seed, g.Add, func(from activity.Activity, outPort string, to activity.Activity, inPort string) error {
+		_, err := g.Connect(from, outPort, to, inPort)
 		return err
 	})
 	if err != nil {
@@ -197,8 +217,8 @@ func runDAGEngine(t testing.TB, specs []dagSpec, seed int64, workers int) ([]*ac
 		}
 		err = spec.build(seed+int64(100*j), func(a activity.Activity) error {
 			return sess.Install(a, sched.Resources{})
-		}, func(from, to activity.Activity, port string) error {
-			_, err := sess.Connect(from, "out", to, port, 0)
+		}, func(from activity.Activity, outPort string, to activity.Activity, inPort string) error {
+			_, err := sess.Connect(from, outPort, to, inPort, 0)
 			return err
 		})
 		if err != nil {

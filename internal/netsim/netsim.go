@@ -158,19 +158,27 @@ func (l *Link) Connect(rate media.DataRate) (*Conn, error) {
 		link: l,
 		id:   id,
 		rate: rate,
-		rng:  rand.New(rand.NewSource(l.seed + int64(id)*7919)),
+		seed: l.seed + int64(id)*7919,
 		open: true,
 	}, nil
 }
 
 // Conn is an open connection with a reserved data rate.
+//
+// Its jitter sequence is fixed at Connect by seed (the link's seed plus
+// the connection index times 7919), but the math/rand source behind it
+// is only built by the first transfer that draws jitter.  A connection
+// on a zero-jitter link never builds one, so opening it costs no RNG
+// state; on a jittered link the draws are the same as from a source
+// seeded at Connect.
 type Conn struct {
 	link *Link
 	id   int
 	rate media.DataRate
+	seed int64
 
 	mu       sync.Mutex
-	rng      *rand.Rand
+	rng      *rand.Rand // nil until the first jitter draw
 	open     bool
 	bytes    int64 // total bytes carried
 	messages int64 // total transfers
@@ -250,6 +258,9 @@ func (c *Conn) TransferChunk(bytes int64) (Delivery, error) {
 	}
 	t := c.link.latency + ser
 	if c.link.maxJitter > 0 {
+		if c.rng == nil {
+			c.rng = rand.New(rand.NewSource(c.seed))
+		}
 		t += avtime.WorldTime(c.rng.Int63n(int64(c.link.maxJitter) + 1))
 	}
 	return Delivery{Time: t, Dropped: f.Drop, Corrupted: f.Corrupt}, nil

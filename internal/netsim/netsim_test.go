@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"errors"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -120,6 +121,64 @@ func TestJitterBoundedAndDeterministic(t *testing.T) {
 		if d1 < 0 || d1 > 5*avtime.Millisecond {
 			t.Fatalf("jitter %v outside [0, 5ms]", d1)
 		}
+	}
+}
+
+// TestLazyJitterSourceMatchesEagerSeed pins the lazily seeded jitter
+// source to the sequence a source seeded at Connect would draw: link
+// seed plus connection index times 7919, for every connection on the
+// link.
+func TestLazyJitterSourceMatchesEagerSeed(t *testing.T) {
+	const seed, maxJitter = 99, 5 * avtime.Millisecond
+	l := NewLink("j", 4*media.MBPerSecond, avtime.Millisecond, maxJitter, seed)
+	for id := 0; id < 3; id++ {
+		c, err := l.Connect(media.MBPerSecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.rng != nil {
+			t.Fatalf("conn %d: jitter source built before the first draw", id)
+		}
+		want := rand.New(rand.NewSource(seed + int64(id)*7919))
+		for i := 0; i < 50; i++ {
+			d, err := c.Transfer(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if exp := avtime.Millisecond + avtime.WorldTime(want.Int63n(int64(maxJitter)+1)); d != exp {
+				t.Fatalf("conn %d transfer %d: %v, want %v", id, i, d, exp)
+			}
+		}
+	}
+}
+
+// TestZeroJitterConnectAllocatesNoSource pins that a connection on a
+// zero-jitter link never builds a jitter source: Connect allocates only
+// the Conn, and transfers leave the source unbuilt.
+func TestZeroJitterConnectAllocatesNoSource(t *testing.T) {
+	l := testLink()
+	allocs := testing.AllocsPerRun(100, func() {
+		c, err := l.Connect(media.MBPerSecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+	})
+	if allocs > 1 {
+		t.Errorf("Connect+Close on a zero-jitter link: %v allocs, want <= 1 (the Conn)", allocs)
+	}
+	c, err := l.Connect(media.MBPerSecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 10; i++ {
+		if _, err := c.Transfer(1000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c.rng != nil {
+		t.Error("zero-jitter transfers built a jitter source")
 	}
 }
 

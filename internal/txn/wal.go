@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 )
@@ -34,7 +35,9 @@ func (t RecordType) String() string {
 }
 
 // Record is one WAL entry.  Update records carry physical before/after
-// images, enabling both redo and undo.
+// images, enabling both redo and undo.  A nil image and an empty one
+// differ: nil is absence, []byte{} is a present empty value, so every
+// copy of an image goes through bytes.Clone, which keeps the two apart.
 type Record struct {
 	LSN    uint64
 	Type   RecordType
@@ -109,7 +112,7 @@ func (kv *KV) Get(key string) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	return append([]byte(nil), v...), true
+	return bytes.Clone(v), true
 }
 
 // Len reports the number of live keys.
@@ -130,17 +133,9 @@ func (kv *KV) Put(tx *Tx, key string, val []byte) error {
 		kv.wal.Append(Record{Type: RecBegin, TxID: tx.ID()})
 		kv.inTx[tx.ID()] = true
 	}
-	var before []byte
-	if old, ok := kv.mem[key]; ok {
-		before = append([]byte(nil), old...)
-	}
 	kv.wal.Append(Record{Type: RecUpdate, TxID: tx.ID(), Key: key,
-		Before: before, After: append([]byte(nil), val...)})
-	if val == nil {
-		delete(kv.mem, key)
-	} else {
-		kv.mem[key] = append([]byte(nil), val...)
-	}
+		Before: bytes.Clone(kv.mem[key]), After: bytes.Clone(val)})
+	kv.apply(key, val)
 	return nil
 }
 
@@ -170,17 +165,9 @@ func (kv *KV) Abort(tx *Tx) {
 		if r.Type != RecUpdate || r.TxID != tx.ID() {
 			continue
 		}
-		var cur []byte
-		if v, ok := kv.mem[r.Key]; ok {
-			cur = append([]byte(nil), v...)
-		}
 		kv.wal.Append(Record{Type: RecCLR, TxID: tx.ID(), Key: r.Key,
-			Before: cur, After: append([]byte(nil), r.Before...)})
-		if r.Before == nil {
-			delete(kv.mem, r.Key)
-		} else {
-			kv.mem[r.Key] = append([]byte(nil), r.Before...)
-		}
+			Before: bytes.Clone(kv.mem[r.Key]), After: bytes.Clone(r.Before)})
+		kv.apply(r.Key, r.Before)
 	}
 	kv.wal.Append(Record{Type: RecAbort, TxID: tx.ID()})
 	delete(kv.inTx, tx.ID())
@@ -221,11 +208,7 @@ func (kv *KV) Recover() {
 		if r.Type != RecUpdate && r.Type != RecCLR {
 			continue
 		}
-		if r.After == nil {
-			delete(kv.mem, r.Key)
-		} else {
-			kv.mem[r.Key] = append([]byte(nil), r.After...)
-		}
+		kv.apply(r.Key, r.After)
 	}
 	// Undo phase: roll back the losers — transactions with neither a
 	// commit nor an abort record (in flight at the crash).  Aborted
@@ -235,11 +218,18 @@ func (kv *KV) Recover() {
 		if r.Type != RecUpdate || committed[r.TxID] || aborted[r.TxID] {
 			continue
 		}
-		if r.Before == nil {
-			delete(kv.mem, r.Key)
-		} else {
-			kv.mem[r.Key] = append([]byte(nil), r.Before...)
-		}
+		kv.apply(r.Key, r.Before)
 	}
 	kv.inTx = make(map[uint64]bool)
+}
+
+// apply installs an image in the volatile store: a nil image deletes the
+// key, any other (including an empty one) stores a private copy.  The
+// caller holds kv.mu.
+func (kv *KV) apply(key string, image []byte) {
+	if image == nil {
+		delete(kv.mem, key)
+	} else {
+		kv.mem[key] = bytes.Clone(image)
+	}
 }
